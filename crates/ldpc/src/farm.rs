@@ -1,7 +1,6 @@
 //! Work-stealing decoder-slot farm.
 //!
-//! One decode engine shared by every producer of codewords: Monte-Carlo
-//! FER sweeps ([`measure_fer_farm`](crate::sensing::measure_fer_farm)),
+//! One decode engine shared by every producer of codewords:
 //! iteration-profile calibration ([`measure_iteration_profile`]) and the
 //! SSD simulator's decoder pool (`flexlevel-sim --measured-iterations`).
 //! The farm's worker count comes from the same knob as every other

@@ -67,12 +67,11 @@ pub use decoder::{DecodeOutcome, DecoderGraph, MinSumDecoder};
 pub use encoder::{encode, random_info, EncodeError};
 pub use farm::{measure_iteration_profile, DecodeFarm, DecodeRequest, DecodeVerdict, FarmConfig};
 pub use latency::{IterationProfile, ReadLatencyModel, ReadStageCosts};
-pub use layered::LayeredDecoder;
 pub use quantized::{
     BatchOutcome, DecodeKernel, DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder, Schedule,
     Q_MAX,
 };
 pub use sensing::{
-    decode_success_rate, measure_fer, measure_fer_farm, measure_fer_observed, measure_fer_until,
-    minimum_levels, FerMeasurement, FerStats, SensingSchedule, FER_BATCH,
+    decode_success_rate, measure_fer, minimum_levels, FerMeasurement, FerStats, SensingSchedule,
+    FER_BATCH,
 };

@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use obs::Histogram;
 use reliability::mc::{self, McOptions};
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +22,6 @@ use crate::channel::MlcReadChannel;
 use crate::code::QcLdpcCode;
 use crate::decoder::{DecoderGraph, MinSumDecoder};
 use crate::encoder::{encode, random_info};
-use crate::farm::{DecodeFarm, DecodeRequest};
 use crate::quantized::{DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder};
 
 /// Outcome of a frame-error-rate measurement at one sensing precision.
@@ -127,64 +125,27 @@ pub fn measure_fer(
     seed: u64,
     options: &McOptions,
 ) -> FerStats {
-    measure_fer_observed(code, decoder, channel, quantizer, trials, seed, options).0
-}
-
-/// [`measure_fer`] plus a per-frame decoder-iteration [`Histogram`].
-///
-/// Each shard records its frames' iteration counts into its own
-/// histogram; shard histograms are merged in shard order, so — like the
-/// scalar statistics — the distribution is bit-identical for every
-/// thread count. The RNG stream is untouched by the extra recording,
-/// which is why [`measure_fer`] can delegate here without changing its
-/// published numbers.
-pub fn measure_fer_observed(
-    code: &QcLdpcCode,
-    decoder: &QuantizedMinSumDecoder,
-    channel: &MlcReadChannel,
-    quantizer: &LlrQuantizer,
-    trials: u64,
-    seed: u64,
-    options: &McOptions,
-) -> (FerStats, Histogram) {
     assert!(trials > 0, "need at least one trial");
     let graph = DecoderGraph::cached(code);
     let table = channel.quantized_llr_table(quantizer);
     let shards = mc::run_trials(trials, seed, options, |_, shard_trials, rng| {
-        let mut histogram = Histogram::new();
-        let (errors, iterations) = fer_shard(
-            code,
-            &graph,
-            decoder,
-            channel,
-            &table,
-            shard_trials,
-            rng,
-            Some(&mut histogram),
-        );
-        (errors, iterations, histogram)
+        fer_shard(code, &graph, decoder, channel, &table, shard_trials, rng)
     });
     let mut stats = FerStats {
         trials,
         frame_errors: 0,
         total_iterations: 0,
     };
-    let mut histogram = Histogram::new();
-    for (errors, iterations, shard_histogram) in shards {
+    for (errors, iterations) in shards {
         stats.frame_errors += errors;
         stats.total_iterations += iterations;
-        histogram.merge(&shard_histogram);
     }
-    (stats, histogram)
+    stats
 }
 
 /// One MC shard of [`measure_fer`]: decode `shard_trials` frames in
 /// fixed-order [`FER_BATCH`]-lane groups, returning `(frame_errors,
-/// total_iterations)`. The optional histogram records per-frame iteration
-/// counts without touching the RNG stream, which is what lets
-/// [`measure_fer`], [`measure_fer_observed`] and [`measure_fer_until`]
-/// share one frame sequence.
-#[allow(clippy::too_many_arguments)] // private plumbing shared by three entry points
+/// total_iterations)`.
 fn fer_shard<R: rand::Rng + ?Sized>(
     code: &QcLdpcCode,
     graph: &DecoderGraph,
@@ -193,7 +154,6 @@ fn fer_shard<R: rand::Rng + ?Sized>(
     table: &[i8],
     shard_trials: u64,
     rng: &mut R,
-    mut histogram: Option<&mut Histogram>,
 ) -> (u64, u64) {
     let n = code.codeword_bits();
     let mut ws = DecoderWorkspace::new();
@@ -216,9 +176,6 @@ fn fer_shard<R: rand::Rng + ?Sized>(
         let out = decoder.decode_batch(graph, &qllrs[..n * lanes], lanes, &mut ws);
         for lane in 0..lanes {
             iterations += u64::from(out.iterations(lane));
-            if let Some(h) = histogram.as_deref_mut() {
-                h.record(f64::from(out.iterations(lane)));
-            }
             let ok = out.success(lane)
                 && (0..n).all(|bit| out.hard_bit(lane, bit) == sent[bit * lanes + lane]);
             if !ok {
@@ -228,121 +185,6 @@ fn fer_shard<R: rand::Rng + ?Sized>(
         remaining -= lanes as u64;
     }
     (errors, iterations)
-}
-
-/// [`measure_fer`] with a deterministic early-exit drain: stops
-/// dispatching new shard waves once `target_errors` frame errors have
-/// accumulated, so low-BER sweep points don't burn the full trial budget
-/// after the estimate is already resolved.
-///
-/// Built on [`mc::run_trials_until`]: shards run in fixed waves of
-/// [`mc::WAVE_SHARDS`] and the error count is only consulted between
-/// waves, so the executed trial prefix — and every statistic — is
-/// bit-identical for every thread count. `FerStats::trials` reports the
-/// trials actually executed (`≤ max_trials`); each executed frame is
-/// identical to the corresponding [`measure_fer`] frame, and when the
-/// target is never reached the result equals
-/// `measure_fer(.., max_trials, ..)` exactly.
-///
-/// # Panics
-///
-/// Panics if `max_trials == 0`.
-#[allow(clippy::too_many_arguments)] // mirrors measure_fer + the stopping pair
-pub fn measure_fer_until(
-    code: &QcLdpcCode,
-    decoder: &QuantizedMinSumDecoder,
-    channel: &MlcReadChannel,
-    quantizer: &LlrQuantizer,
-    max_trials: u64,
-    target_errors: u64,
-    seed: u64,
-    options: &McOptions,
-) -> FerStats {
-    assert!(max_trials > 0, "need at least one trial");
-    let graph = DecoderGraph::cached(code);
-    let table = channel.quantized_llr_table(quantizer);
-    let shards = mc::run_trials_until(
-        max_trials,
-        seed,
-        options,
-        |_, shard_trials, rng| {
-            let (errors, iterations) = fer_shard(
-                code,
-                &graph,
-                decoder,
-                channel,
-                &table,
-                shard_trials,
-                rng,
-                None,
-            );
-            (shard_trials, errors, iterations)
-        },
-        |done| done.iter().map(|shard| shard.1).sum::<u64>() >= target_errors,
-    );
-    let mut stats = FerStats {
-        trials: 0,
-        frame_errors: 0,
-        total_iterations: 0,
-    };
-    for (shard_trials, errors, iterations) in shards {
-        stats.trials += shard_trials;
-        stats.frame_errors += errors;
-        stats.total_iterations += iterations;
-    }
-    stats
-}
-
-/// [`measure_fer`] through a shared [`DecodeFarm`] instead of per-shard
-/// [`FER_BATCH`]-lane batches.
-///
-/// Frame generation reuses `measure_fer`'s shard layout and per-trial RNG
-/// consumption order, so every frame is bit-identical to the
-/// corresponding `measure_fer` frame; the frames are then submitted as
-/// one request queue and packed into the farm's (wider) batches. Because
-/// the quantized kernels are strictly lane-wise, re-batching cannot
-/// change any verdict — this returns **exactly** `measure_fer`'s
-/// statistics for the same `(trials, seed, options)` and the farm's
-/// decoder, for every worker count and batch width.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` or the farm was built for a different code.
-pub fn measure_fer_farm(
-    code: &QcLdpcCode,
-    channel: &MlcReadChannel,
-    quantizer: &LlrQuantizer,
-    trials: u64,
-    seed: u64,
-    options: &McOptions,
-    farm: &DecodeFarm,
-) -> FerStats {
-    assert!(trials > 0, "need at least one trial");
-    let table = channel.quantized_llr_table(quantizer);
-    let n = code.codeword_bits();
-    let shards = mc::run_trials(trials, seed, options, |_, shard_trials, rng| {
-        let mut requests = Vec::with_capacity(shard_trials as usize);
-        for _ in 0..shard_trials {
-            let info = random_info(code, rng);
-            let cw = encode(code, &info).expect("random info has the right length");
-            let mut qllrs = vec![0i8; n];
-            for (bit, &b) in cw.iter().enumerate() {
-                qllrs[bit] = table[channel.sample_region(b, rng)];
-            }
-            requests.push(DecodeRequest {
-                qllrs,
-                expected: Some(cw),
-            });
-        }
-        requests
-    });
-    let requests: Vec<DecodeRequest> = shards.into_iter().flatten().collect();
-    let verdicts = farm.decode_all(&requests);
-    FerStats {
-        trials,
-        frame_errors: verdicts.iter().filter(|v| !v.correct).count() as u64,
-        total_iterations: verdicts.iter().map(|v| u64::from(v.iterations)).sum(),
-    }
 }
 
 /// Finds the minimum number of extra sensing levels (0..=`max_levels`)

@@ -12,21 +12,14 @@
 //!    paired success-count difference stays inside a 6σ discordant-pair
 //!    bound (the same bound `quantized_parity.rs` uses for i8 vs f32),
 //!    and layered must not need more iterations on average.
-//! 3. **The farm and the early-exit drain preserve the MC contract** —
-//!    `measure_fer_farm` equals `measure_fer` exactly, and
-//!    `measure_fer_until` is bit-identical across 1/2/8 threads.
 
-use flash_model::{Hours, LevelConfig};
 use ldpc::bitplane::{transpose64, untranspose64};
 use ldpc::{
-    encode, measure_fer, measure_fer_farm, measure_fer_until, random_info, ChannelStress,
-    DecodeFarm, DecodeKernel, DecoderGraph, DecoderWorkspace, FarmConfig, LlrQuantizer,
-    MlcReadChannel, PageKind, QcLdpcCode, QuantizedMinSumDecoder, Schedule, SoftSensingConfig,
-    Q_MAX,
+    encode, random_info, DecodeKernel, DecoderGraph, DecoderWorkspace, LlrQuantizer, QcLdpcCode,
+    QuantizedMinSumDecoder, Schedule, Q_MAX,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use reliability::mc::{McOptions, WAVE_SHARDS};
 
 const LLR_MAG: f32 = 4.0;
 
@@ -201,96 +194,5 @@ fn out_of_domain_llrs_fall_back_to_reference() {
         for bit in 0..n {
             assert_eq!(a.hard_bit(lane, bit), b.hard_bit(lane, bit));
         }
-    }
-}
-
-fn test_channel(seed: u64) -> std::sync::Arc<MlcReadChannel> {
-    MlcReadChannel::build_cached(
-        &LevelConfig::normal_mlc(),
-        PageKind::Lower,
-        ChannelStress::retention(6000, Hours::months(1.0)),
-        SoftSensingConfig::hard_decision(),
-        20_000,
-        seed,
-    )
-}
-
-/// The farm path returns exactly `measure_fer`'s statistics: identical
-/// frames, lane-wise kernels, wider batches — nothing may shift.
-#[test]
-fn measure_fer_farm_equals_measure_fer() {
-    let code = QcLdpcCode::small_test_code();
-    let decoder = QuantizedMinSumDecoder::new().with_schedule(Schedule::Layered);
-    let quantizer = LlrQuantizer::default();
-    let channel = test_channel(77);
-    let opts = McOptions {
-        min_shard_trials: 32,
-        ..McOptions::default()
-    };
-    let direct = measure_fer(&code, &decoder, &channel, &quantizer, 300, 9, &opts);
-    assert_ne!(direct.frame_errors, 0, "stress must produce frame errors");
-    for workers in [1u32, 2, 8] {
-        let farm = DecodeFarm::new(&code, decoder, FarmConfig::default().with_workers(workers));
-        let farmed = measure_fer_farm(&code, &channel, &quantizer, 300, 9, &opts, &farm);
-        assert_eq!(direct, farmed, "workers {workers}");
-    }
-}
-
-/// The early-exit drain: bit-identical across thread counts, equal to
-/// `measure_fer` when the target is out of reach, and strictly cheaper
-/// when the target is hit early.
-#[test]
-fn measure_fer_until_is_deterministic_and_stops_early() {
-    let code = QcLdpcCode::small_test_code();
-    let decoder = QuantizedMinSumDecoder::new();
-    let quantizer = LlrQuantizer::default();
-    let channel = test_channel(77);
-    let base = McOptions {
-        min_shard_trials: 16,
-        ..McOptions::default()
-    };
-    const TRIALS: u64 = 640; // 40 shards of 16 → 5 waves
-
-    // Unreachable target ⇒ the full run, exactly measure_fer.
-    let full = measure_fer(&code, &decoder, &channel, &quantizer, TRIALS, 3, &base);
-    let capped = measure_fer_until(
-        &code,
-        &decoder,
-        &channel,
-        &quantizer,
-        TRIALS,
-        u64::MAX,
-        3,
-        &base,
-    );
-    assert_eq!(full, capped);
-
-    // Reachable target ⇒ stops on a wave boundary with fewer trials.
-    assert!(full.frame_errors >= 2, "stress must produce frame errors");
-    let early = measure_fer_until(&code, &decoder, &channel, &quantizer, TRIALS, 1, 3, &base);
-    assert!(early.frame_errors >= 1);
-    assert!(
-        early.trials < TRIALS,
-        "early exit should not run the full budget"
-    );
-    assert_eq!(
-        early.trials % (16 * u64::from(WAVE_SHARDS)),
-        0,
-        "drain must stop on whole-wave boundaries"
-    );
-
-    // And the executed prefix is thread-count independent.
-    for threads in [2u32, 8] {
-        let parallel = measure_fer_until(
-            &code,
-            &decoder,
-            &channel,
-            &quantizer,
-            TRIALS,
-            1,
-            3,
-            &base.with_threads(threads),
-        );
-        assert_eq!(early, parallel, "threads {threads}");
     }
 }

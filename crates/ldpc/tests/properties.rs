@@ -1,7 +1,7 @@
 //! Property-based tests of the LDPC stack.
 
 use ldpc::{
-    encode, random_info, DecoderGraph, LayeredDecoder, MinSumDecoder, QcLdpcCode, SensingSchedule,
+    encode, random_info, DecoderGraph, MinSumDecoder, QcLdpcCode, SensingSchedule,
     SoftSensingConfig,
 };
 use proptest::prelude::*;
@@ -37,8 +37,9 @@ proptest! {
         prop_assert_eq!(code.syndrome_weight(&cw), 0);
     }
 
-    /// Flooding and layered decoders agree on success for correctable
-    /// corruption (both must fix ≤2 strong-LLR flips).
+    /// The flooding decoder fixes any ≤2 strong-LLR flips. (Layered vs
+    /// flooding agreement is pinned on the quantized kernels in
+    /// `bitplane_parity.rs`.)
     #[test]
     fn schedules_agree_on_easy_frames(seed in 0u64..300, f1 in 0usize..1280, f2 in 0usize..1280) {
         let code = QcLdpcCode::small_test_code();
@@ -51,11 +52,8 @@ proptest! {
             llrs[f] = -llrs[f];
         }
         let flood = MinSumDecoder::new().decode(&graph, &llrs);
-        let layer = LayeredDecoder::new().decode(&graph, &llrs);
         prop_assert!(flood.success);
-        prop_assert!(layer.success);
         prop_assert_eq!(flood.info_bits(&code), &info[..]);
-        prop_assert_eq!(layer.info_bits(&code), &info[..]);
     }
 
     /// Soft-sensing threshold sets are always sorted, contain the

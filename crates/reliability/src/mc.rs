@@ -175,113 +175,6 @@ where
         .collect()
 }
 
-/// Shards dispatched per wave by [`run_trials_until`]. Part of the
-/// determinism contract, like `min_shard_trials`: the stop predicate is
-/// only consulted at wave boundaries, so the executed shard prefix — and
-/// therefore the result — is a pure function of the work and the seed,
-/// never of the thread count or scheduler timing.
-pub const WAVE_SHARDS: u32 = 8;
-
-/// [`run_trials`] with a deterministic early exit.
-///
-/// Shards are dispatched in fixed waves of [`WAVE_SHARDS`]; after each
-/// wave fully completes, `stop` is evaluated on the ordered prefix of
-/// shard outputs collected so far, and a `true` verdict stops dispatch.
-/// Because the predicate only ever sees completed whole waves, which
-/// shards execute cannot depend on thread interleaving — 1 worker and 64
-/// workers run the exact same prefix. The returned vector is that prefix,
-/// in shard order; callers that need the executed trial count should have
-/// each shard report its own (the engine's trial split is
-/// [`run_trials`]'s: `total_trials` over [`shard_count`] shards,
-/// remainder to the low shards).
-pub fn run_trials_until<T, F, P>(
-    total_trials: u64,
-    base_seed: u64,
-    options: &McOptions,
-    task: F,
-    stop: P,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u32, u64, &mut StdRng) -> T + Sync,
-    P: Fn(&[T]) -> bool,
-{
-    let shards = shard_count(total_trials, options);
-    let per_shard = total_trials / u64::from(shards);
-    let remainder = total_trials % u64::from(shards);
-    let trials_of = |index: u32| per_shard + u64::from(u64::from(index) < remainder);
-    let run_shard = |index: u32| {
-        let mut rng = shard_rng(base_seed, index);
-        task(index, trials_of(index), &mut rng)
-    };
-
-    let workers = resolve_threads(options.threads).min(shards);
-    let mut results: Vec<T> = Vec::with_capacity(shards as usize);
-    let mut wave_start = 0u32;
-    while wave_start < shards {
-        let wave_end = (wave_start + WAVE_SHARDS).min(shards);
-        let wave = wave_end - wave_start;
-        if workers <= 1 || wave <= 1 {
-            results.extend((wave_start..wave_end).map(run_shard));
-        } else {
-            let slots: Vec<Mutex<Option<T>>> = (0..wave).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(wave) {
-                    scope.spawn(|| loop {
-                        let offset = next.fetch_add(1, Ordering::Relaxed);
-                        if offset >= slots.len() {
-                            break;
-                        }
-                        let out = run_shard(wave_start + offset as u32);
-                        *slots[offset].lock().expect("MC result slot poisoned") = Some(out);
-                    });
-                }
-            });
-            results.extend(slots.into_iter().map(|slot| {
-                slot.into_inner()
-                    .expect("MC result slot poisoned")
-                    .expect("every shard ran")
-            }));
-        }
-        wave_start = wave_end;
-        if stop(&results) {
-            break;
-        }
-    }
-    results
-}
-
-/// Runs `total_trials` trials of `per_trial` and collects every returned
-/// value into one log-linear [`Histogram`](obs::Histogram).
-///
-/// Each shard records into its own histogram; shard histograms are
-/// merged in ascending shard order after all workers join, so the result
-/// is bit-identical for every thread count — the same contract as
-/// [`run_trials`], extended to full distributions.
-pub fn run_value_histogram<F>(
-    total_trials: u64,
-    base_seed: u64,
-    options: &McOptions,
-    per_trial: F,
-) -> obs::Histogram
-where
-    F: Fn(u32, &mut StdRng) -> f64 + Sync,
-{
-    let shards = run_trials(total_trials, base_seed, options, |index, trials, rng| {
-        let mut histogram = obs::Histogram::new();
-        for _ in 0..trials {
-            histogram.record(per_trial(index, rng));
-        }
-        histogram
-    });
-    let mut merged = obs::Histogram::new();
-    for shard in &shards {
-        merged.merge(shard);
-    }
-    merged
-}
-
 /// Applies `f` to every item of `items` on the thread pool and returns
 /// the outputs in input order. The per-item work must be deterministic
 /// for the map to be; the engine only guarantees ordering and isolation.
@@ -404,62 +297,6 @@ mod tests {
         let indices = run_trials(50_000, 3, &opts(4), |i, _, _| i);
         let expected: Vec<u32> = (0..indices.len() as u32).collect();
         assert_eq!(indices, expected);
-    }
-
-    #[test]
-    fn value_histogram_identical_across_thread_counts() {
-        let run = |threads: u32| {
-            run_value_histogram(20_000, 11, &opts(threads), |_, rng| {
-                rng.gen_range(0.0..500.0)
-            })
-        };
-        let serial = run(1);
-        assert_eq!(serial.count(), 20_000);
-        for threads in [2u32, 8] {
-            assert_eq!(serial, run(threads), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn until_without_stop_matches_run_trials() {
-        let task = |_: u32, n: u64, rng: &mut StdRng| -> u64 {
-            (0..n).map(|_| rng.gen_range(0u64..1_000)).sum()
-        };
-        let full = run_trials(20_000, 13, &opts(2), task);
-        let until = run_trials_until(20_000, 13, &opts(2), task, |_| false);
-        assert_eq!(full, until);
-    }
-
-    #[test]
-    fn until_stops_on_whole_wave_boundaries() {
-        // 20_000 trials / 500 min per shard → 40 shards, 5 waves of 8.
-        let shards = run_trials_until(
-            20_000,
-            13,
-            &opts(4),
-            |i, _, _| i,
-            |done| done.len() >= 11, // mid-wave target → rounds up to 2 waves
-        );
-        assert_eq!(shards, (0..2 * WAVE_SHARDS).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn until_prefix_identical_across_thread_counts() {
-        let run = |threads: u32| {
-            run_trials_until(
-                20_000,
-                21,
-                &opts(threads),
-                |_, n, rng| (0..n).map(|_| rng.gen_range(0u64..1_000)).sum::<u64>(),
-                |done| done.iter().sum::<u64>() > 4_000_000,
-            )
-        };
-        let serial = run(1);
-        assert!(serial.len() < 40, "stop predicate should fire early");
-        assert_eq!(serial.len() % WAVE_SHARDS as usize, 0);
-        for threads in [2u32, 8] {
-            assert_eq!(serial, run(threads), "threads {threads}");
-        }
     }
 
     #[test]

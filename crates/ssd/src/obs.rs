@@ -38,37 +38,10 @@ use obs::{
 use crate::config::Scheme;
 use crate::pipeline::StageKind;
 use crate::serve::{Backpressure, ServeOptions};
-use crate::stats::SimStats;
+use crate::stats::{SimStats, COUNTERS, RECOVERY_COUNTERS};
 
-/// Counter columns of the windowed time series, in column order. All
-/// are *logical* `SimStats` counters — functions of the request order
-/// alone — so the series is bit-identical across thread counts and
-/// timing backends, and survives checkpoint/resume (the counters ride
-/// the device image).
-const SERIES_COUNTERS: [&str; 20] = [
-    "host_reads",
-    "host_writes",
-    "buffer_read_hits",
-    "flash_reads",
-    "flash_programs",
-    "erases",
-    "gc_runs",
-    "gc_migrated_pages",
-    "promotions",
-    "demotions",
-    "reduced_reads",
-    "retry_reads",
-    "recovered_reads",
-    "uncorrectable_reads",
-    "program_failures",
-    "retired_blocks",
-    "die_resets",
-    "scrub_runs",
-    "scrub_reads",
-    "scrub_refreshes",
-];
-
-/// Gauge columns of the windowed time series. Derived from logical
+/// Gauge columns of the windowed time series; the counter columns are
+/// [`COUNTERS`], in table order. Derived from logical
 /// count vectors only (never from measured response times, which differ
 /// between timing backends): sensing-level and retry-depth quantiles,
 /// the retry rate, and the observed UBER.
@@ -106,31 +79,6 @@ fn retry_rate(stats: &SimStats) -> f64 {
     stats.retry_reads as f64 / stats.host_reads as f64
 }
 
-fn base_counter_values(stats: &SimStats) -> Vec<u64> {
-    vec![
-        stats.host_reads,
-        stats.host_writes,
-        stats.buffer_read_hits,
-        stats.flash_reads,
-        stats.flash_programs,
-        stats.erases,
-        stats.gc_runs,
-        stats.gc_migrated_pages,
-        stats.promotions,
-        stats.demotions,
-        stats.reduced_reads,
-        stats.retry_reads,
-        stats.recovered_reads,
-        stats.uncorrectable_reads,
-        stats.program_failures,
-        stats.retired_blocks,
-        stats.die_resets,
-        stats.scrub_runs,
-        stats.scrub_reads,
-        stats.scrub_refreshes,
-    ]
-}
-
 /// The windowed sampler plus the lumped per-tenant SLO tallies it
 /// samples. Violations are judged against the *lumped* single-queue
 /// response (the same virtual clock admission runs on), so the tallies
@@ -157,7 +105,7 @@ impl SeriesRecorder {
         backpressure: &Backpressure,
         t_us: f64,
     ) -> (Vec<u64>, Vec<f64>) {
-        let mut counters = base_counter_values(stats);
+        let mut counters = stats.counter_values();
         let mut gauges = vec![
             count_quantile(&stats.reads_by_sensing_level, 0.5),
             count_quantile(&stats.reads_by_sensing_level, 0.99),
@@ -341,7 +289,7 @@ impl SimObserver {
             sampler: SeriesSampler::new(
                 self.scheme,
                 interval_us,
-                SERIES_COUNTERS.iter().map(|s| s.to_string()).collect(),
+                COUNTERS.iter().map(|c| c.name.to_string()).collect(),
                 SERIES_GAUGES.iter().map(|s| s.to_string()).collect(),
             ),
             slo_targets: Vec::new(),
@@ -693,120 +641,17 @@ impl SimObserver {
             let id = registry.counter(name, help, labels);
             registry.set_counter(id, value);
         };
-        fold(
-            "flexlevel_host_reads_total",
-            "Host read requests served.",
-            stats.host_reads,
-        );
-        fold(
-            "flexlevel_host_writes_total",
-            "Host write requests served.",
-            stats.host_writes,
-        );
-        fold(
-            "flexlevel_buffer_read_hits_total",
-            "Host page reads served from the write buffer.",
-            stats.buffer_read_hits,
-        );
-        fold(
-            "flexlevel_flash_reads_total",
-            "Flash page reads (host + GC + migration + retry).",
-            stats.flash_reads,
-        );
-        fold(
-            "flexlevel_flash_programs_total",
-            "Flash page programs (host + GC + migration).",
-            stats.flash_programs,
-        );
-        fold("flexlevel_erases_total", "Block erases.", stats.erases);
-        fold("flexlevel_gc_runs_total", "GC invocations.", stats.gc_runs);
-        fold(
-            "flexlevel_gc_migrated_pages_total",
-            "Valid pages relocated by GC.",
-            stats.gc_migrated_pages,
-        );
-        fold(
-            "flexlevel_promotions_total",
-            "AccessEval promotions into reduced pages.",
-            stats.promotions,
-        );
-        fold(
-            "flexlevel_demotions_total",
-            "AccessEval demotions back to normal pages.",
-            stats.demotions,
-        );
-        fold(
-            "flexlevel_reduced_reads_total",
-            "Host page reads served from reduced-state pages.",
-            stats.reduced_reads,
-        );
-        fold(
-            "flexlevel_retry_reads_total",
-            "Extra flash read attempts spent by the recovery ladder.",
-            stats.retry_reads,
-        );
-        fold(
-            "flexlevel_recovered_reads_total",
-            "Frame reads recovered by the retry ladder.",
-            stats.recovered_reads,
-        );
-        fold(
-            "flexlevel_uncorrectable_reads_total",
-            "Frame reads the full ladder could not recover.",
-            stats.uncorrectable_reads,
-        );
-        fold(
-            "flexlevel_program_failures_total",
-            "Page programs that failed their status check.",
-            stats.program_failures,
-        );
-        fold(
-            "flexlevel_retired_blocks_total",
-            "Blocks retired as grown-bad.",
-            stats.retired_blocks,
-        );
-        fold(
-            "flexlevel_die_resets_total",
-            "Transient whole-die faults cleared by a reset.",
-            stats.die_resets,
-        );
-        fold(
-            "flexlevel_scrub_runs_total",
-            "Patrol-scrub block visits.",
-            stats.scrub_runs,
-        );
-        fold(
-            "flexlevel_scrub_reads_total",
-            "Pages read by the patrol scrubber.",
-            stats.scrub_reads,
-        );
-        fold(
-            "flexlevel_scrub_refreshes_total",
-            "Pages rewritten by the scrubber on retention-BER threshold.",
-            stats.scrub_refreshes,
-        );
+        for c in &COUNTERS {
+            let name = format!("flexlevel_{}_total", c.name);
+            fold(&name, c.help, (c.get)(stats));
+        }
         // Recovery counters only exist after a crash-restore; gating on
         // nonzero keeps every pre-existing export byte-identical.
-        if stats.journal_replayed > 0 {
-            fold(
-                "flexlevel_journal_replayed_total",
-                "Mapping-journal records replayed during crash recovery.",
-                stats.journal_replayed,
-            );
-        }
-        if stats.torn_pages_discarded > 0 {
-            fold(
-                "flexlevel_torn_pages_discarded_total",
-                "Torn (interrupted-program) pages discarded during recovery.",
-                stats.torn_pages_discarded,
-            );
-        }
-        if stats.checkpoint_age_requests > 0 {
-            fold(
-                "flexlevel_checkpoint_age_requests",
-                "Requests served between the restored checkpoint and the crash.",
-                stats.checkpoint_age_requests,
-            );
+        for c in &RECOVERY_COUNTERS {
+            let value = (c.get)(stats);
+            if value > 0 {
+                fold(c.name, c.help, value);
+            }
         }
         for kind in StageKind::ALL {
             let stage_labels: &[(&str, &str)] = &[("scheme", scheme), ("stage", kind.label())];

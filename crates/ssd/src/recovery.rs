@@ -128,7 +128,7 @@ use workloads::Trace;
 
 use crate::config::SsdConfig;
 use crate::ftl::{BlockImage, Fnv, FtlImage, GcPolicy, JournalRecord, TornPage};
-use crate::stats::{SimStats, StageAccount};
+use crate::stats::{Counter, SimStats, StageAccount, COUNTERS, RECOVERY_COUNTERS};
 
 /// Why a [`DeviceImage`] could not be decoded or restored. Corrupted or
 /// truncated input always surfaces as one of these — never a panic.
@@ -408,18 +408,32 @@ fn decode_stage(d: &mut Dec<'_>) -> Result<StageAccount, ImageError> {
     })
 }
 
+/// Where wire v2 interleaves the non-counter fields into [`COUNTERS`]:
+/// the sensing vector, response sums, reservoir and makespan follow
+/// `reduced_reads`; the retry-depth histogram follows
+/// `uncorrectable_reads`.
+const AFTER_REDUCED_READS: usize = 11;
+const AFTER_UNCORRECTABLE_READS: usize = 14;
+
+fn encode_counters(e: &mut Enc, s: &SimStats, counters: &[Counter]) {
+    for c in counters {
+        e.u64((c.get)(s));
+    }
+}
+
+fn decode_counters(
+    d: &mut Dec<'_>,
+    s: &mut SimStats,
+    counters: &[Counter],
+) -> Result<(), ImageError> {
+    for c in counters {
+        *(c.get_mut)(s) = d.u64()?;
+    }
+    Ok(())
+}
+
 fn encode_stats(e: &mut Enc, s: &SimStats) {
-    e.u64(s.host_reads);
-    e.u64(s.host_writes);
-    e.u64(s.buffer_read_hits);
-    e.u64(s.flash_reads);
-    e.u64(s.flash_programs);
-    e.u64(s.erases);
-    e.u64(s.gc_runs);
-    e.u64(s.gc_migrated_pages);
-    e.u64(s.promotions);
-    e.u64(s.demotions);
-    e.u64(s.reduced_reads);
+    encode_counters(e, s, &COUNTERS[..AFTER_REDUCED_READS]);
     e.len(s.reads_by_sensing_level.len());
     for &v in &s.reads_by_sensing_level {
         e.u64(v);
@@ -434,19 +448,16 @@ fn encode_stats(e: &mut Enc, s: &SimStats) {
     e.u64(s.responses_seen);
     e.u64(s.sample_state);
     e.f64(s.makespan_us);
-    e.u64(s.retry_reads);
-    e.u64(s.recovered_reads);
-    e.u64(s.uncorrectable_reads);
+    encode_counters(
+        e,
+        s,
+        &COUNTERS[AFTER_REDUCED_READS..AFTER_UNCORRECTABLE_READS],
+    );
     e.len(s.retry_depth_histogram.len());
     for &v in &s.retry_depth_histogram {
         e.u64(v);
     }
-    e.u64(s.program_failures);
-    e.u64(s.retired_blocks);
-    e.u64(s.die_resets);
-    e.u64(s.scrub_runs);
-    e.u64(s.scrub_reads);
-    e.u64(s.scrub_refreshes);
+    encode_counters(e, s, &COUNTERS[AFTER_UNCORRECTABLE_READS..]);
     e.f64(s.recovery_latency_us);
     encode_stage(e, &s.stage_sense);
     encode_stage(e, &s.stage_transfer);
@@ -456,27 +467,13 @@ fn encode_stats(e: &mut Enc, s: &SimStats) {
     // Tenanted (open-loop serving) state is not checkpointable; the
     // count is stored so the decoder can reject a hand-edited image.
     e.len(s.tenants.len());
-    e.u64(s.journal_replayed);
-    e.u64(s.torn_pages_discarded);
-    e.u64(s.checkpoint_age_requests);
+    encode_counters(e, s, &RECOVERY_COUNTERS);
 }
 
-// Sequential assignment keeps every `d.xxx()?` on its own line in wire
-// order, mirroring `encode_stats` field for field.
-#[allow(clippy::field_reassign_with_default)]
+/// Mirrors [`encode_stats`] field for field, in wire order.
 fn decode_stats(d: &mut Dec<'_>) -> Result<SimStats, ImageError> {
     let mut s = SimStats::default();
-    s.host_reads = d.u64()?;
-    s.host_writes = d.u64()?;
-    s.buffer_read_hits = d.u64()?;
-    s.flash_reads = d.u64()?;
-    s.flash_programs = d.u64()?;
-    s.erases = d.u64()?;
-    s.gc_runs = d.u64()?;
-    s.gc_migrated_pages = d.u64()?;
-    s.promotions = d.u64()?;
-    s.demotions = d.u64()?;
-    s.reduced_reads = d.u64()?;
+    decode_counters(d, &mut s, &COUNTERS[..AFTER_REDUCED_READS])?;
     let n = d.len()?;
     s.reads_by_sensing_level = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
     s.total_response_us = d.f64()?;
@@ -487,17 +484,14 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<SimStats, ImageError> {
     s.responses_seen = d.u64()?;
     s.sample_state = d.u64()?;
     s.makespan_us = d.f64()?;
-    s.retry_reads = d.u64()?;
-    s.recovered_reads = d.u64()?;
-    s.uncorrectable_reads = d.u64()?;
+    decode_counters(
+        d,
+        &mut s,
+        &COUNTERS[AFTER_REDUCED_READS..AFTER_UNCORRECTABLE_READS],
+    )?;
     let n = d.len()?;
     s.retry_depth_histogram = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-    s.program_failures = d.u64()?;
-    s.retired_blocks = d.u64()?;
-    s.die_resets = d.u64()?;
-    s.scrub_runs = d.u64()?;
-    s.scrub_reads = d.u64()?;
-    s.scrub_refreshes = d.u64()?;
+    decode_counters(d, &mut s, &COUNTERS[AFTER_UNCORRECTABLE_READS..])?;
     s.recovery_latency_us = d.f64()?;
     s.stage_sense = decode_stage(d)?;
     s.stage_transfer = decode_stage(d)?;
@@ -507,9 +501,7 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<SimStats, ImageError> {
     if d.len()? != 0 {
         return Err(ImageError::Corrupt("tenanted stats in device image"));
     }
-    s.journal_replayed = d.u64()?;
-    s.torn_pages_discarded = d.u64()?;
-    s.checkpoint_age_requests = d.u64()?;
+    decode_counters(d, &mut s, &RECOVERY_COUNTERS)?;
     Ok(s)
 }
 
@@ -1048,6 +1040,15 @@ mod tests {
 
     fn run(u: f64, fer0: f64, levels: u32) -> RecoveryOutcome {
         resolve(u, fer0, levels, 6, FACTORS.0, FACTORS.1, FACTORS.2)
+    }
+
+    #[test]
+    fn wire_v2_split_points_follow_their_counters() {
+        assert_eq!(COUNTERS[AFTER_REDUCED_READS - 1].name, "reduced_reads");
+        assert_eq!(
+            COUNTERS[AFTER_UNCORRECTABLE_READS - 1].name,
+            "uncorrectable_reads"
+        );
     }
 
     #[test]

@@ -1739,16 +1739,7 @@ mod tests {
         let piped = sim.run(&trace).expect("pipelined run completes").clone();
         // The logical layer is shared: every operation counter matches
         // the single-queue run exactly.
-        assert_eq!(piped.host_reads, single.host_reads);
-        assert_eq!(piped.host_writes, single.host_writes);
-        assert_eq!(piped.buffer_read_hits, single.buffer_read_hits);
-        assert_eq!(piped.flash_reads, single.flash_reads);
-        assert_eq!(piped.flash_programs, single.flash_programs);
-        assert_eq!(piped.erases, single.erases);
-        assert_eq!(piped.gc_runs, single.gc_runs);
-        assert_eq!(piped.gc_migrated_pages, single.gc_migrated_pages);
-        assert_eq!(piped.promotions, single.promotions);
-        assert_eq!(piped.reduced_reads, single.reduced_reads);
+        assert_eq!(piped.counter_values(), single.counter_values());
         assert_eq!(piped.reads_by_sensing_level, single.reads_by_sensing_level);
         // Per-stage accounting is populated (and absent in single-queue).
         use crate::pipeline::StageKind;

@@ -138,6 +138,78 @@ pub struct SimStats {
     pub checkpoint_age_requests: u64,
 }
 
+/// One logical `u64` counter of [`SimStats`]: its name, registry help text
+/// and accessors. The series sampler, the metrics registry and the device
+/// image codec all iterate [`COUNTERS`] / [`RECOVERY_COUNTERS`] instead of
+/// naming fields, so adding a counter is one struct field plus one table
+/// entry.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter {
+    /// For [`COUNTERS`]: the field name, which is also the series column
+    /// and the `flexlevel_<name>_total` registry family. For
+    /// [`RECOVERY_COUNTERS`]: the full registry family name.
+    pub name: &'static str,
+    /// Registry help text.
+    pub help: &'static str,
+    /// Reads the counter.
+    pub get: fn(&SimStats) -> u64,
+    /// Borrows the counter mutably.
+    pub get_mut: fn(&mut SimStats) -> &mut u64,
+}
+
+/// Builds a [`Counter`] table from `field => help` (or `field as name =>
+/// help`) entries.
+macro_rules! counters {
+    ($($field:ident $(as $name:literal)? => $help:literal,)*) => {
+        [$(Counter {
+            name: counters!(@name $field $($name)?),
+            help: $help,
+            get: |s| s.$field,
+            get_mut: |s| &mut s.$field,
+        },)*]
+    };
+    (@name $field:ident) => { stringify!($field) };
+    (@name $field:ident $name:literal) => { $name };
+}
+
+/// The logical operation counters, in series-column, registry and
+/// device-image order. All are functions of the request order alone, so
+/// they are identical across thread counts and timing backends.
+pub const COUNTERS: [Counter; 20] = counters![
+    host_reads => "Host read requests served.",
+    host_writes => "Host write requests served.",
+    buffer_read_hits => "Host page reads served from the write buffer.",
+    flash_reads => "Flash page reads (host + GC + migration + retry).",
+    flash_programs => "Flash page programs (host + GC + migration).",
+    erases => "Block erases.",
+    gc_runs => "GC invocations.",
+    gc_migrated_pages => "Valid pages relocated by GC.",
+    promotions => "AccessEval promotions into reduced pages.",
+    demotions => "AccessEval demotions back to normal pages.",
+    reduced_reads => "Host page reads served from reduced-state pages.",
+    retry_reads => "Extra flash read attempts spent by the recovery ladder.",
+    recovered_reads => "Frame reads recovered by the retry ladder.",
+    uncorrectable_reads => "Frame reads the full ladder could not recover.",
+    program_failures => "Page programs that failed their status check.",
+    retired_blocks => "Blocks retired as grown-bad.",
+    die_resets => "Transient whole-die faults cleared by a reset.",
+    scrub_runs => "Patrol-scrub block visits.",
+    scrub_reads => "Pages read by the patrol scrubber.",
+    scrub_refreshes => "Pages rewritten by the scrubber on retention-BER threshold.",
+];
+
+/// Crash-recovery counters: nonzero only after a restore from a crashed
+/// image, exported only when nonzero, and not series columns. `name` is
+/// the registry family.
+pub const RECOVERY_COUNTERS: [Counter; 3] = counters![
+    journal_replayed as "flexlevel_journal_replayed_total" =>
+        "Mapping-journal records replayed during crash recovery.",
+    torn_pages_discarded as "flexlevel_torn_pages_discarded_total" =>
+        "Torn (interrupted-program) pages discarded during recovery.",
+    checkpoint_age_requests as "flexlevel_checkpoint_age_requests" =>
+        "Requests served between the restored checkpoint and the crash.",
+];
+
 /// Reservoir capacity: runs at or below this many responses keep every
 /// sample, making percentiles exact.
 const MAX_SAMPLES: usize = 1 << 17;
@@ -394,6 +466,11 @@ impl SimStats {
         percentile_of(&self.response_samples, q)
     }
 
+    /// The [`COUNTERS`] values, in table order.
+    pub fn counter_values(&self) -> Vec<u64> {
+        COUNTERS.iter().map(|c| (c.get)(self)).collect()
+    }
+
     /// Host requests served.
     pub fn host_requests(&self) -> u64 {
         self.host_reads + self.host_writes
@@ -475,6 +552,20 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_tables_reach_distinct_fields() {
+        let mut s = SimStats::default();
+        let all: Vec<&Counter> = COUNTERS.iter().chain(&RECOVERY_COUNTERS).collect();
+        for (i, c) in all.iter().enumerate() {
+            *(c.get_mut)(&mut s) = i as u64 + 1;
+        }
+        for (i, c) in all.iter().enumerate() {
+            assert_eq!((c.get)(&s), i as u64 + 1, "{} is aliased", c.name);
+        }
+        let names: std::collections::HashSet<&str> = all.iter().map(|c| c.name).collect();
+        assert_eq!(names.len(), all.len(), "duplicate counter name");
+    }
 
     #[test]
     fn response_accounting() {

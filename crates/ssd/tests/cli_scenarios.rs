@@ -1,5 +1,5 @@
 //! CLI contract of the scenario engine: `--list-scenarios` enumerates
-//! the registry, parse errors (unknown preset) exit 2 with the valid
+//! the registry, parse errors (unknown preset, `--blocks 0`) exit 2 with the valid
 //! names listed, and simulation failures exit 1 — two distinct failure
 //! channels scripts can branch on.
 
@@ -40,6 +40,17 @@ fn unknown_scenario_is_a_parse_error_listing_valid_names() {
             "stderr must list valid name {name}:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn zero_blocks_is_a_parse_error() {
+    let out = sim().args(["--blocks", "0"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "parse errors exit 2");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("--blocks must be at least 1"),
+        "stderr names the bad flag:\n{stderr}"
+    );
 }
 
 #[test]

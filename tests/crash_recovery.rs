@@ -43,21 +43,7 @@ fn combo_config(scheme: Scheme, preset: &str) -> SsdConfig {
 /// The backend-independent operation counters (the same set the
 /// pipelined-vs-single-queue equivalence test pins).
 fn logical_counters(stats: &SimStats) -> (Vec<u64>, Vec<u64>) {
-    (
-        vec![
-            stats.host_reads,
-            stats.host_writes,
-            stats.buffer_read_hits,
-            stats.flash_reads,
-            stats.flash_programs,
-            stats.erases,
-            stats.gc_runs,
-            stats.gc_migrated_pages,
-            stats.promotions,
-            stats.reduced_reads,
-        ],
-        stats.reads_by_sensing_level.clone(),
-    )
+    (stats.counter_values(), stats.reads_by_sensing_level.clone())
 }
 
 /// Independently folds the checkpoint image plus a journal prefix into

@@ -200,17 +200,6 @@ fn timing_models_agree_on_recovery_counters() {
         single.die_resets > 0,
         "die faults must fire in this fixture"
     );
-    let logical = |s: &SimStats| {
-        (
-            (s.host_reads, s.host_writes, s.buffer_read_hits),
-            (s.flash_reads, s.flash_programs, s.erases),
-            (s.gc_runs, s.gc_migrated_pages, s.reduced_reads),
-            (s.promotions, s.demotions),
-            (s.retry_reads, s.recovered_reads, s.uncorrectable_reads),
-            s.retry_depth_histogram.clone(),
-            (s.program_failures, s.retired_blocks, s.die_resets),
-            (s.scrub_runs, s.scrub_reads, s.scrub_refreshes),
-        )
-    };
+    let logical = |s: &SimStats| (s.counter_values(), s.retry_depth_histogram.clone());
     assert_eq!(logical(&single), logical(&pipelined));
 }

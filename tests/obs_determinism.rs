@@ -10,6 +10,7 @@
 use obs::{export, Recorder};
 use rand::{rngs::StdRng, SeedableRng};
 use reliability::mc;
+use ssd::stats::COUNTERS;
 use ssd::{Scheme, SimObserver, SimStats, SsdConfig, SsdSimulator, StageKind, TimingModel};
 use workloads::{Trace, WorkloadSpec};
 
@@ -119,33 +120,24 @@ fn observer_does_not_perturb_simulation() {
 }
 
 /// The registry's logical counters are a timing-model invariant: both
-/// backends replay the same logical simulation, so the folded counter
-/// series match name-for-name, value-for-value.
+/// backends replay the same logical simulation, so every counter of the
+/// `SimStats` table is exported with the same value by both, and that
+/// value is the `SimStats` field it was folded from.
 #[test]
 fn registry_counters_match_across_timing_models() {
     let trace = fixture_trace();
     for scheme in Scheme::ALL {
-        let (_, single) = observed_run(scheme, &trace, TimingModel::SingleQueue);
+        let (stats, single) = observed_run(scheme, &trace, TimingModel::SingleQueue);
         let (_, piped) = observed_run(scheme, &trace, TimingModel::Pipelined);
         let labels: &[(&str, &str)] = &[("scheme", scheme.label())];
-        for name in [
-            "flexlevel_host_reads_total",
-            "flexlevel_host_writes_total",
-            "flexlevel_buffer_read_hits_total",
-            "flexlevel_flash_reads_total",
-            "flexlevel_flash_programs_total",
-            "flexlevel_erases_total",
-            "flexlevel_gc_runs_total",
-            "flexlevel_gc_migrated_pages_total",
-            "flexlevel_promotions_total",
-            "flexlevel_demotions_total",
-            "flexlevel_reduced_reads_total",
-        ] {
-            let a = single.metrics.find_counter(name, labels);
-            let b = piped.metrics.find_counter(name, labels);
-            assert!(
-                a.is_some(),
-                "{}: {name} missing from registry",
+        for counter in &COUNTERS {
+            let name = format!("flexlevel_{}_total", counter.name);
+            let a = single.metrics.find_counter(&name, labels);
+            let b = piped.metrics.find_counter(&name, labels);
+            assert_eq!(
+                a,
+                Some((counter.get)(&stats)),
+                "{}: {name} missing or differs from SimStats",
                 scheme.label()
             );
             assert_eq!(
@@ -271,13 +263,14 @@ fn series_windows_are_exact_and_final_flush_is_single() {
             .unwrap_or_else(|| panic!("{name} missing from series schema"));
         last.cumulative[i]
     };
-    assert_eq!(col("host_reads"), stats.host_reads);
-    assert_eq!(col("host_writes"), stats.host_writes);
-    assert_eq!(col("flash_reads"), stats.flash_reads);
-    assert_eq!(col("flash_programs"), stats.flash_programs);
-    assert_eq!(col("erases"), stats.erases);
-    assert_eq!(col("gc_runs"), stats.gc_runs);
-    assert_eq!(col("retry_reads"), stats.retry_reads);
+    for counter in &COUNTERS {
+        assert_eq!(
+            col(counter.name),
+            (counter.get)(&stats),
+            "flushed row: {} differs from SimStats",
+            counter.name
+        );
+    }
 }
 
 /// Histogram-derived stage metrics reconcile exactly with the golden

@@ -222,15 +222,9 @@ fn matrix_cells_agree_across_timing_models() {
     let trace = golden_trace();
     let logical = |s: &SimStats| {
         (
-            (s.host_reads, s.host_writes, s.buffer_read_hits),
-            (s.flash_reads, s.flash_programs, s.erases),
-            (s.gc_runs, s.gc_migrated_pages, s.reduced_reads),
-            (s.promotions, s.demotions),
+            s.counter_values(),
             s.reads_by_sensing_level.clone(),
-            (s.retry_reads, s.recovered_reads, s.uncorrectable_reads),
             s.retry_depth_histogram.clone(),
-            (s.program_failures, s.retired_blocks, s.die_resets),
-            (s.scrub_runs, s.scrub_reads, s.scrub_refreshes),
         )
     };
     for spec in ScenarioSpec::registry() {

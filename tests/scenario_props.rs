@@ -62,13 +62,9 @@ fn run_clustered(seed: u64, events: u32, timing: TimingModel, trace: &Trace) -> 
 
 fn logical(s: &SimStats) -> impl PartialEq + std::fmt::Debug {
     (
-        (s.host_reads, s.host_writes, s.buffer_read_hits),
-        (s.flash_reads, s.flash_programs, s.erases),
-        (s.gc_runs, s.gc_migrated_pages, s.reduced_reads),
+        s.counter_values(),
         s.reads_by_sensing_level.clone(),
-        (s.retry_reads, s.recovered_reads, s.uncorrectable_reads),
         s.retry_depth_histogram.clone(),
-        (s.scrub_runs, s.scrub_reads, s.scrub_refreshes),
     )
 }
 

@@ -47,22 +47,6 @@ fn run_with(scheme: Scheme, trace: &Trace, model: TimingModel, dies: u32, slots:
         .clone()
 }
 
-fn counters(stats: &SimStats) -> [u64; 11] {
-    [
-        stats.host_reads,
-        stats.host_writes,
-        stats.buffer_read_hits,
-        stats.flash_reads,
-        stats.flash_programs,
-        stats.erases,
-        stats.gc_runs,
-        stats.gc_migrated_pages,
-        stats.promotions,
-        stats.demotions,
-        stats.reduced_reads,
-    ]
-}
-
 /// Both timing models replay the same logical simulation: every integer
 /// counter matches exactly for every scheme, even with parallel
 /// resources configured, because decisions never depend on timing.
@@ -73,15 +57,15 @@ fn pipelined_counters_match_single_queue_for_all_schemes() {
         let single = run_with(scheme, &trace, TimingModel::SingleQueue, 1, 1);
         let piped = run_with(scheme, &trace, TimingModel::Pipelined, 1, 1);
         assert_eq!(
-            counters(&single),
-            counters(&piped),
+            single.counter_values(),
+            piped.counter_values(),
             "{}: pipelined counters drifted from single-queue",
             scheme.label()
         );
         let wide = run_with(scheme, &trace, TimingModel::Pipelined, 4, 4);
         assert_eq!(
-            counters(&single),
-            counters(&wide),
+            single.counter_values(),
+            wide.counter_values(),
             "{}: counters must not depend on die/decoder parallelism",
             scheme.label()
         );
